@@ -26,7 +26,6 @@ use telemetry::Telemetry;
 
 use lsm_storage::cache::{BlockCache, ScopedCache};
 use lsm_storage::degrade::{DegradationController, DegradedInfo};
-use lsm_storage::iterator::KvIterator;
 use lsm_storage::maintenance::{
     attach_engine, BackpressureConfig, BackpressureGate, EngineMaintenance, JobKind, JobScheduler,
     MaintainableEngine, MaintenanceHandle, Throttle,
@@ -666,7 +665,7 @@ impl LaserDb {
                     bloom_skips += 1;
                     continue;
                 }
-                let versions = Self::table_versions(&file.table, key, snapshot)?;
+                let versions = file.table.get_versions(key, snapshot)?;
                 if !versions.is_empty() {
                     self.stats.record_point_read_level(0, 1, &needed);
                 }
@@ -719,7 +718,7 @@ impl LaserDb {
                         bloom_skips += 1;
                         continue;
                     }
-                    let versions = Self::table_versions(&file.table, key, snapshot)?;
+                    let versions = file.table.get_versions(key, snapshot)?;
                     if versions.is_empty() {
                         continue;
                     }
@@ -797,32 +796,6 @@ impl LaserDb {
             *satisfied = true;
         }
         Ok(())
-    }
-
-    /// Collects the visible versions of `key` in one table, newest first,
-    /// stopping after the first full row or tombstone.
-    fn table_versions(
-        table: &TableHandle,
-        key: UserKey,
-        snapshot: SeqNo,
-    ) -> Result<Vec<(InternalKey, Vec<u8>)>> {
-        let mut iter = table.iter();
-        iter.seek(&InternalKey::seek_to(key).encode())?;
-        let mut out = Vec::new();
-        while iter.valid() {
-            let ik = InternalKey::decode(iter.key())?;
-            if ik.user_key != key {
-                break;
-            }
-            if ik.seq <= snapshot {
-                out.push((ik, iter.value().to_vec()));
-                if ik.kind != ValueKind::Partial {
-                    break;
-                }
-            }
-            iter.next()?;
-        }
-        Ok(out)
     }
 
     /// Range scan: returns the newest values of the projected columns for
@@ -919,14 +892,14 @@ impl LaserDb {
         let mut sources: Vec<BoxedFragmentSource> = Vec::new();
         if let Some(mutable) = &inner.mutable {
             sources.push(Box::new(RowSource::new(
-                Box::new(mutable.iter()),
+                Box::new(mutable.range_iter(lo, hi)),
                 c,
                 snapshot,
             )));
         }
         for imm in inner.immutables.iter().rev() {
             sources.push(Box::new(RowSource::new(
-                Box::new(imm.memtable.iter()),
+                Box::new(imm.memtable.range_iter(lo, hi)),
                 c,
                 snapshot,
             )));
@@ -1946,6 +1919,43 @@ mod tests {
         assert_eq!(row.columns().to_vec(), vec![1, 5]);
         assert_eq!(row.get(1), Some(&Value::Int(44)));
         assert_eq!(row.get(5), Some(&Value::Int(48)));
+    }
+
+    #[test]
+    fn snapshot_reads_overlay_partials_across_sst_blocks() {
+        let mut options = LaserOptions::small_for_tests(LayoutSpec::row_store(&schema(), 6));
+        options.auto_compact = false;
+        options.memtable_size_bytes = 1 << 20;
+        let db = LaserDb::open_in_memory(options).unwrap();
+        db.insert_int_row(7, 0).unwrap();
+        // A neighbour, so key 7's versions end mid-table.
+        db.insert_int_row(8, 0).unwrap();
+        let mut model: Vec<i64> = (0..C as i64).map(|c| c + 1).collect();
+        let mut snapshots = vec![(db.last_seq(), model.clone())];
+        for i in 0..1500i64 {
+            let col = i as usize % C;
+            db.update(7, vec![(col, Value::Int(1000 + i))]).unwrap();
+            model[col] = 1000 + i;
+            snapshots.push((db.last_seq(), model.clone()));
+        }
+        db.flush().unwrap();
+        // One Level-0 table whose versions of key 7 span several 4 KiB blocks.
+        assert_eq!(db.level_files()[0].len(), 1);
+        assert_eq!(db.memtable_len(), 0);
+        assert!(db.total_sst_bytes() > 3 * 4096);
+        for (seq, expected) in snapshots {
+            let row = db
+                .read_at(7, &Projection::all(&schema()), seq)
+                .unwrap()
+                .unwrap();
+            let got: Vec<i64> = (0..C)
+                .map(|c| match row.get(c) {
+                    Some(Value::Int(v)) => *v,
+                    other => panic!("column {c} at seq {seq}: {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, expected, "snapshot {seq}");
+        }
     }
 
     #[test]

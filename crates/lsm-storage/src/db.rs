@@ -741,10 +741,10 @@ impl LsmDb {
         let inner = self.inner.read();
         let mut children: Vec<BoxedIterator> = Vec::new();
         if let Some(mutable) = &inner.mutable {
-            children.push(Box::new(mutable.iter()));
+            children.push(Box::new(mutable.range_iter(lo, hi)));
         }
         for imm in inner.immutables.iter().rev() {
-            children.push(Box::new(imm.memtable.iter()));
+            children.push(Box::new(imm.memtable.range_iter(lo, hi)));
         }
         for (level, files) in inner.levels.iter().enumerate() {
             Self::push_level_children(level, files, Some((lo, hi)), &mut children);
@@ -760,10 +760,10 @@ impl LsmDb {
         let inner = self.inner.read();
         let mut children: Vec<BoxedIterator> = Vec::new();
         if let Some(mutable) = &inner.mutable {
-            children.push(Box::new(mutable.iter()));
+            children.push(Box::new(mutable.range_iter(lo, hi)));
         }
         for imm in inner.immutables.iter().rev() {
-            children.push(Box::new(imm.memtable.iter()));
+            children.push(Box::new(imm.memtable.range_iter(lo, hi)));
         }
         for level in inner.levels.iter() {
             for file in level.iter().rev() {
@@ -1923,6 +1923,24 @@ mod tests {
         } else {
             v == &vec![2]
         }));
+    }
+
+    #[test]
+    fn scan_memtable_child_yields_only_in_range_entries() {
+        let db = small_db();
+        for i in 0..100u64 {
+            db.put(i, vec![1]).unwrap();
+        }
+        // Every key is still in the mutable memtable, the merge's only child.
+        assert!(db.level_files().iter().all(Vec::is_empty));
+        let mut merge = db.range_iterator(40, 59).unwrap();
+        merge.seek_to_first().unwrap();
+        let mut keys = Vec::new();
+        while merge.valid() {
+            keys.push(InternalKey::decode_user_key(merge.key()).unwrap());
+            merge.next().unwrap();
+        }
+        assert_eq!(keys, (40..=59).collect::<Vec<_>>());
     }
 
     #[test]

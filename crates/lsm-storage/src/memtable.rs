@@ -128,14 +128,26 @@ impl MemTable {
         *self.max_seq.read()
     }
 
-    /// Produces a sorted snapshot of the contents for flushing or iteration.
+    /// Produces a sorted snapshot of the contents for flushing.
     pub fn to_sorted_vec(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.list.read().to_sorted_vec()
     }
 
-    /// Creates an owning iterator over a snapshot of the current contents.
-    pub fn iter(&self) -> MemTableIterator {
-        MemTableIterator::new(self.to_sorted_vec())
+    /// Creates an owning iterator over a snapshot of the entries whose user
+    /// key lies in `[lo, hi]`: one skiplist seek, then a copy of just that
+    /// range under the read lock, so a scan's setup cost does not grow with
+    /// the rest of the memtable.
+    pub fn range_iter(&self, lo: UserKey, hi: UserKey) -> MemTableIterator {
+        let list = self.list.read();
+        let mut it = list.iter();
+        // The 8-byte user-key prefix sorts before every version of `lo`.
+        it.seek(&lo.to_be_bytes());
+        let mut entries = Vec::new();
+        while it.valid() && InternalKey::decode_user_key(it.key()).is_ok_and(|k| k <= hi) {
+            entries.push((it.key().to_vec(), it.value().to_vec()));
+            it.next_entry();
+        }
+        MemTableIterator::new(entries)
     }
 }
 
@@ -290,7 +302,7 @@ mod tests {
         for (seq, key) in [(1u64, 30u64), (2, 10), (3, 20), (4, 10)] {
             mt.insert(seq, &WriteEntry::put(key, seq.to_le_bytes().to_vec()));
         }
-        let mut it = mt.iter();
+        let mut it = mt.range_iter(0, u64::MAX);
         it.seek_to_first().unwrap();
         let mut decoded = Vec::new();
         while it.valid() {
@@ -300,6 +312,29 @@ mod tests {
         }
         // Key 10: seq 4 before seq 2 (newest first), then 20, then 30.
         assert_eq!(decoded, vec![(10, 4), (10, 2), (20, 3), (30, 1)]);
+    }
+
+    #[test]
+    fn range_iter_copies_only_the_range() {
+        let mt = MemTable::new();
+        for key in 0..100u64 {
+            mt.insert(key + 1, &WriteEntry::put(key, vec![]));
+            mt.insert(key + 1000, &WriteEntry::put(key, vec![]));
+        }
+        let mut it = mt.range_iter(10, 20);
+        it.seek_to_first().unwrap();
+        let mut keys = Vec::new();
+        while it.valid() {
+            keys.push(InternalKey::decode(it.key()).unwrap().user_key);
+            it.next().unwrap();
+        }
+        let expected: Vec<u64> = (10..=20).flat_map(|k| [k, k]).collect();
+        assert_eq!(
+            keys, expected,
+            "both versions of each in-range key, nothing else"
+        );
+        assert!(mt.range_iter(200, 300).entries.is_empty());
+        assert_eq!(mt.range_iter(0, u64::MAX).entries.len(), 200);
     }
 
     #[test]

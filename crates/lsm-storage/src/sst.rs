@@ -9,11 +9,16 @@
 //! ...
 //! [bloom filter block][crc32]
 //! [index block][crc32]          // last key of each data block -> block handle
-//! [footer]                      // fixed 72 bytes, see Footer
+//! [footer]                      // fixed 80 bytes, see Footer
 //! ```
 //!
-//! Index blocks and bloom filters are assumed to be cached in memory, exactly
-//! as the paper assumes in its cost analysis (Section 2.1).
+//! The paper's cost analysis (Section 2.1) assumes index blocks and bloom
+//! filters are held in memory, so a point lookup pays at most one data block
+//! per sorted run. [`Table`] does exactly that: the index block is decoded
+//! once at open into a flat slice of fixed-width entries (17-byte last key +
+//! 16-byte handle, 40 bytes with padding) and held for the table's lifetime,
+//! next to the bloom filter. A 2 MiB table of 4 KiB blocks holds ~500
+//! entries, ~20 KiB. Probes and iterators share it; none re-decode it.
 
 use std::sync::Arc;
 
@@ -25,7 +30,7 @@ use crate::coding::{put_u32, put_u64, Decoder};
 use crate::error::{Error, Result};
 use crate::iterator::KvIterator;
 use crate::storage::{RandomAccessFile, StorageRef, WritableFile};
-use crate::types::{InternalKey, UserKey};
+use crate::types::{InternalKey, SeqNo, UserKey, ValueKind, INTERNAL_KEY_LEN};
 
 /// Magic number identifying an SST footer.
 const SST_MAGIC: u64 = 0x4C41_5345_5253_5354; // "LASERSST"
@@ -298,10 +303,43 @@ impl TableBuilder {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// One decoded index entry: the last internal key of a data block and where
+/// that block lives. Fixed width, so the whole index is one flat slice.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    last_key: [u8; INTERNAL_KEY_LEN],
+    handle: BlockHandle,
+}
+
+/// Decodes an index block into its flat, fixed-width form. Every key must be
+/// an encoded internal key and every value exactly one block handle; anything
+/// else is corruption, since a skipped entry would hide that block's keys.
+fn decode_index(block: &Block) -> Result<Box<[IndexEntry]>> {
+    let mut out = Vec::new();
+    let mut it = block.iter();
+    it.seek_to_first()?;
+    while it.valid() {
+        let last_key = it
+            .key()
+            .try_into()
+            .map_err(|_| Error::corruption("sst index key is not an internal key"))?;
+        let mut d = Decoder::new(it.value());
+        let handle = BlockHandle::decode(&mut d)
+            .ok()
+            .filter(|_| d.is_empty())
+            .ok_or_else(|| Error::corruption("sst index entry holds a malformed block handle"))?;
+        out.push(IndexEntry { last_key, handle });
+        it.next_entry()?;
+    }
+    Ok(out.into_boxed_slice())
+}
+
 /// An open, immutable SST.
 pub struct Table {
     file: Box<dyn RandomAccessFile>,
-    index: Block,
+    /// The index, decoded once at open and shared by every probe and
+    /// iterator of this table.
+    index: Box<[IndexEntry]>,
     bloom: BloomFilter,
     props: TableProperties,
     name: String,
@@ -329,53 +367,6 @@ impl std::fmt::Debug for Table {
 }
 
 impl Table {
-    /// Opens an SST by name from a storage backend (no block cache).
-    pub fn open(storage: &StorageRef, name: &str) -> Result<Arc<Table>> {
-        Self::open_with_cache(storage, name, None)
-    }
-
-    /// Opens an SST, serving data-block reads through `cache` when given.
-    /// The scope of the handle decides which accounting scope of the shared
-    /// cache this table's blocks charge (see [`ScopedCache`]).
-    pub fn open_with_cache(
-        storage: &StorageRef,
-        name: &str,
-        cache: Option<ScopedCache>,
-    ) -> Result<Arc<Table>> {
-        let file = storage.open(name)?;
-        let file_size = file.len();
-        if file_size < FOOTER_SIZE as u64 {
-            return Err(Error::corruption(format!("sst {name} smaller than footer")));
-        }
-        let footer_buf = file.read_at(file_size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
-        let footer = Footer::decode(&footer_buf)?;
-        let index_data = read_verified_block(file.as_ref(), footer.index_handle)?;
-        let index = Block::decode(index_data)?;
-        let bloom_data = read_verified_block(file.as_ref(), footer.bloom_handle)?;
-        let bloom = BloomFilter::decode(&bloom_data)?;
-        let num_data_blocks = index.entries()?.len() as u64;
-        let cache = cache.map(|c| {
-            let id = c.register_table();
-            (Arc::clone(c.cache()), id)
-        });
-        Ok(Arc::new(Table {
-            file,
-            index,
-            bloom,
-            cache,
-            props: TableProperties {
-                num_entries: footer.num_entries,
-                min_user_key: footer.min_user_key,
-                max_user_key: footer.max_user_key,
-                file_size,
-                num_data_blocks,
-                min_seq: footer.min_seq,
-                max_seq: footer.max_seq,
-            },
-            name: name.to_string(),
-        }))
-    }
-
     /// Table metadata.
     pub fn properties(&self) -> &TableProperties {
         &self.props
@@ -407,94 +398,164 @@ impl Table {
         self.props.min_user_key < lo || self.props.max_user_key > hi
     }
 
-    fn read_data_block(&self, handle: BlockHandle) -> Result<Block> {
-        Block::decode(read_verified_block(self.file.as_ref(), handle)?)
+    /// Index of the first data block whose last key is `>= target` (the only
+    /// block that can hold the first entry `>= target`); `index.len()` if none.
+    fn find_block(&self, target: &[u8]) -> usize {
+        self.index
+            .partition_point(|e| e.last_key.as_slice() < target)
     }
 
     /// Returns the decoded entries of data block `idx`, consulting the shared
     /// block cache first when one is attached.
-    fn block_entries(&self, idx: usize, handle: BlockHandle) -> Result<CachedBlock> {
-        if let Some((cache, id)) = &self.cache {
-            if let Some(entries) = cache.get(*id, idx as u32) {
-                return Ok(entries);
-            }
-            let entries: CachedBlock = Arc::new(self.read_data_block(handle)?.entries()?);
-            cache.insert(*id, idx as u32, Arc::clone(&entries));
+    fn block_entries(&self, idx: usize) -> Result<CachedBlock> {
+        let read = || -> Result<CachedBlock> {
+            let data = read_verified_block(self.file.as_ref(), self.index[idx].handle)?;
+            Ok(Arc::new(Block::decode(data)?.entries()?))
+        };
+        let Some((cache, id)) = &self.cache else {
+            return read();
+        };
+        if let Some(entries) = cache.get(*id, idx as u32) {
             return Ok(entries);
         }
-        Ok(Arc::new(self.read_data_block(handle)?.entries()?))
+        let entries = read()?;
+        cache.insert(*id, idx as u32, Arc::clone(&entries));
+        Ok(entries)
+    }
+
+    /// Direct point probe: passes the versions of `user_key` visible at
+    /// `seq`, newest first, to `visit` until it returns false. Seeks straight
+    /// to `(user_key, seq)`, so invisible newer versions are skipped by the
+    /// binary searches: one over the decoded index, one inside the block.
+    /// A second block is loaded only when the visited versions run past a
+    /// block boundary. The caller does the bloom check.
+    fn visit_versions(
+        &self,
+        user_key: UserKey,
+        seq: SeqNo,
+        mut visit: impl FnMut(InternalKey, &[u8]) -> bool,
+    ) -> Result<()> {
+        // Kind tag 0 sorts first among equal (user key, seq) pairs.
+        let target = InternalKey::new(user_key, seq, ValueKind::Full).encode();
+        let mut idx = self.find_block(&target);
+        if idx >= self.index.len() {
+            return Ok(());
+        }
+        let mut block = self.block_entries(idx)?;
+        let mut pos = block.partition_point(|(k, _)| k.as_slice() < target.as_slice());
+        loop {
+            for (key, value) in &block[pos..] {
+                let ik = InternalKey::decode(key)?;
+                if ik.user_key != user_key || !visit(ik, value) {
+                    return Ok(());
+                }
+            }
+            idx += 1;
+            if idx >= self.index.len() {
+                return Ok(());
+            }
+            block = self.block_entries(idx)?;
+            pos = 0;
+        }
+    }
+
+    /// Point lookup: newest version of `user_key` visible at `seq`. Costs a
+    /// bloom check, a binary search of the decoded index, one data block
+    /// (normally a cache hit) and a binary search inside it.
+    pub fn get(&self, user_key: UserKey, seq: SeqNo) -> Result<Option<(InternalKey, Vec<u8>)>> {
+        let mut found = None;
+        if self.may_contain(user_key) {
+            self.visit_versions(user_key, seq, |ik, value| {
+                found = Some((ik, value.to_vec()));
+                false
+            })?;
+        }
+        Ok(found)
+    }
+
+    /// Every version of `user_key` visible at `seq`, newest first, stopping
+    /// at (and including) the first `Full` or `Tombstone` record — the table
+    /// counterpart of [`MemTable::get_versions`](crate::memtable::MemTable::get_versions),
+    /// for readers that overlay `Partial` records. Same probe as [`Self::get`].
+    pub fn get_versions(
+        &self,
+        user_key: UserKey,
+        seq: SeqNo,
+    ) -> Result<Vec<(InternalKey, Vec<u8>)>> {
+        let mut out = Vec::new();
+        if self.may_contain(user_key) {
+            self.visit_versions(user_key, seq, |ik, value| {
+                out.push((ik, value.to_vec()));
+                ik.kind == ValueKind::Partial
+            })?;
+        }
+        Ok(out)
     }
 }
 
-/// Shared handle to an open table plus convenience lookup operations.
+/// Shared handle to an open table. Derefs to [`Table`] for metadata and
+/// point lookups; iterators hold a clone of the `Arc`.
 #[derive(Clone, Debug)]
 pub struct TableHandle(pub Arc<Table>);
 
+impl std::ops::Deref for TableHandle {
+    type Target = Table;
+
+    fn deref(&self) -> &Table {
+        &self.0
+    }
+}
+
 impl TableHandle {
-    /// Opens an SST and wraps it in a handle (no block cache).
+    /// Opens an SST by name from a storage backend (no block cache).
     pub fn open(storage: &StorageRef, name: &str) -> Result<TableHandle> {
-        Ok(TableHandle(Table::open(storage, name)?))
+        Self::open_with_cache(storage, name, None)
     }
 
-    /// Opens an SST with an attached shared block cache.
+    /// Opens an SST, serving data-block reads through `cache` when given.
+    /// The scope of the handle decides which accounting scope of the shared
+    /// cache this table's blocks charge (see [`ScopedCache`]).
     pub fn open_with_cache(
         storage: &StorageRef,
         name: &str,
         cache: Option<ScopedCache>,
     ) -> Result<TableHandle> {
-        Ok(TableHandle(Table::open_with_cache(storage, name, cache)?))
-    }
-
-    /// Table metadata.
-    pub fn properties(&self) -> &TableProperties {
-        self.0.properties()
-    }
-
-    /// The underlying file name.
-    pub fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    /// Bloom + range check.
-    pub fn may_contain(&self, user_key: UserKey) -> bool {
-        self.0.may_contain(user_key)
-    }
-
-    /// Range overlap check.
-    pub fn overlaps(&self, lo: UserKey, hi: UserKey) -> bool {
-        self.0.overlaps(lo, hi)
-    }
-
-    /// True if some entry's user key lies outside `[lo, hi]` (see
-    /// [`Table::spans_outside`]).
-    pub fn spans_outside(&self, lo: UserKey, hi: UserKey) -> bool {
-        self.0.spans_outside(lo, hi)
+        let file = storage.open(name)?;
+        let file_size = file.len();
+        if file_size < FOOTER_SIZE as u64 {
+            return Err(Error::corruption(format!("sst {name} smaller than footer")));
+        }
+        let footer_buf = file.read_at(file_size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
+        let footer = Footer::decode(&footer_buf)?;
+        let index_data = read_verified_block(file.as_ref(), footer.index_handle)?;
+        let index = decode_index(&Block::decode(index_data)?)?;
+        let bloom_data = read_verified_block(file.as_ref(), footer.bloom_handle)?;
+        let bloom = BloomFilter::decode(&bloom_data)?;
+        let cache = cache.map(|c| {
+            let id = c.register_table();
+            (Arc::clone(c.cache()), id)
+        });
+        Ok(TableHandle(Arc::new(Table {
+            file,
+            bloom,
+            cache,
+            props: TableProperties {
+                num_entries: footer.num_entries,
+                min_user_key: footer.min_user_key,
+                max_user_key: footer.max_user_key,
+                file_size,
+                num_data_blocks: index.len() as u64,
+                min_seq: footer.min_seq,
+                max_seq: footer.max_seq,
+            },
+            index,
+            name: name.to_string(),
+        })))
     }
 
     /// Creates an iterator over the whole table.
     pub fn iter(&self) -> TableIterator {
         TableIterator::new(Arc::clone(&self.0))
-    }
-
-    /// Point lookup: newest version of `user_key` visible at `seq`.
-    pub fn get(&self, user_key: UserKey, seq: u64) -> Result<Option<(InternalKey, Vec<u8>)>> {
-        if !self.may_contain(user_key) {
-            return Ok(None);
-        }
-        let mut iter = self.iter();
-        let target = InternalKey::seek_to(user_key);
-        iter.seek(&target.encode())?;
-        while iter.valid() {
-            let ik = InternalKey::decode(iter.key())?;
-            if ik.user_key != user_key {
-                return Ok(None);
-            }
-            if ik.seq <= seq {
-                return Ok(Some((ik, iter.value().to_vec())));
-            }
-            iter.next()?;
-        }
-        Ok(None)
     }
 }
 
@@ -520,55 +581,38 @@ fn read_verified_block(file: &dyn RandomAccessFile, handle: BlockHandle) -> Resu
 // ---------------------------------------------------------------------------
 
 /// Iterates all entries of a table in key order, loading one data block at a
-/// time. Entries of the current block are decoded eagerly so advancing is
-/// O(1) and seeking within a block is a binary search.
+/// time through the table's shared, already-decoded index. Entries of the
+/// current block are decoded eagerly so advancing is O(1) and seeking within
+/// a block is a binary search.
 pub struct TableIterator {
     table: Arc<Table>,
-    index_entries: Vec<(Vec<u8>, BlockHandle)>,
     current_block_idx: usize,
     /// Decoded entries of the current block (shared with the block cache).
     current_entries: CachedBlock,
     /// Position of the current entry within `current_entries`.
     entry_idx: usize,
     valid: bool,
-    /// Number of data blocks materialised (cache hits included; for I/O
-    /// accounting in tests).
-    pub blocks_loaded: usize,
 }
 
 impl TableIterator {
     /// Creates an iterator positioned before the first entry.
     pub fn new(table: Arc<Table>) -> Self {
-        let index_entries = table
-            .index
-            .entries()
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let mut d = Decoder::new(&v);
-                BlockHandle::decode(&mut d).ok().map(|h| (k, h))
-            })
-            .collect();
         TableIterator {
             table,
-            index_entries,
             current_block_idx: 0,
             current_entries: Arc::new(Vec::new()),
             entry_idx: 0,
             valid: false,
-            blocks_loaded: 0,
         }
     }
 
     fn load_block(&mut self, idx: usize) -> Result<bool> {
-        if idx >= self.index_entries.len() {
+        if idx >= self.table.index.len() {
             self.current_entries = Arc::new(Vec::new());
             self.valid = false;
             return Ok(false);
         }
-        let handle = self.index_entries[idx].1;
-        self.current_entries = self.table.block_entries(idx, handle)?;
-        self.blocks_loaded += 1;
+        self.current_entries = self.table.block_entries(idx)?;
         self.current_block_idx = idx;
         self.entry_idx = 0;
         Ok(true)
@@ -587,18 +631,7 @@ impl KvIterator for TableIterator {
 
     fn seek(&mut self, target: &[u8]) -> Result<()> {
         self.valid = false;
-        // Binary search the index for the first block whose last key >= target.
-        let mut lo = 0usize;
-        let mut hi = self.index_entries.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.index_entries[mid].0.as_slice() < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo >= self.index_entries.len() || !self.load_block(lo)? {
+        if !self.load_block(self.table.find_block(target))? {
             return Ok(());
         }
         // Binary search within the decoded block for the first key >= target.
@@ -653,7 +686,7 @@ impl KvIterator for TableIterator {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use crate::types::ValueKind;
+    use crate::types::MAX_SEQNO;
 
     fn make_table(entries: &[(u64, u64, ValueKind, &[u8])]) -> (StorageRef, TableHandle) {
         let storage: StorageRef = MemStorage::new_ref();
@@ -845,6 +878,137 @@ mod tests {
         let mut it = table.iter();
         let err = it.seek_to_first();
         assert!(err.is_err(), "corrupted data block must fail checksum");
+    }
+
+    /// Builds key 5 with 200 versions (seq 1 is `Full`, newer ones
+    /// `Partial`), each carrying a 100-byte value, between neighbours 4 and
+    /// 6, so key 5's versions span several 4 KiB data blocks.
+    fn multi_block_key_table() -> (StorageRef, TableHandle) {
+        let value = [9u8; 100];
+        let mut entries: Vec<(u64, u64, ValueKind, &[u8])> =
+            vec![(4, 500, ValueKind::Full, &value)];
+        for seq in (1..=200).rev() {
+            let kind = if seq == 1 {
+                ValueKind::Full
+            } else {
+                ValueKind::Partial
+            };
+            entries.push((5, seq, kind, &value));
+        }
+        entries.push((6, 500, ValueKind::Full, &value));
+        make_table(&entries)
+    }
+
+    /// Sequence numbers of key 5 that end a data block: the visible version
+    /// at `seq - 1` is the first entry of the *next* block.
+    fn key5_block_ends(table: &TableHandle) -> Vec<u64> {
+        let ends: Vec<u64> = table
+            .index
+            .iter()
+            .map(|e| InternalKey::decode(&e.last_key).unwrap())
+            .filter(|ik| ik.user_key == 5 && ik.seq > 1)
+            .map(|ik| ik.seq)
+            .collect();
+        assert!(ends.len() >= 2, "key 5 must span several blocks");
+        ends
+    }
+
+    #[test]
+    fn get_finds_visible_version_in_the_next_block() {
+        let (_s, table) = multi_block_key_table();
+        for end in key5_block_ends(&table) {
+            // At `end` the visible version is the last entry of its block...
+            let (ik, _) = table.get(5, end).unwrap().unwrap();
+            assert_eq!(ik.seq, end);
+            // ...and at the snapshot just before, it opens the next block.
+            let (ik, _) = table.get(5, end - 1).unwrap().unwrap();
+            assert_eq!(ik.seq, end - 1);
+        }
+        for snapshot in 0..=201u64 {
+            let got = table.get(5, snapshot).unwrap().map(|(ik, _)| ik.seq);
+            assert_eq!(got, (snapshot > 0).then_some(snapshot.min(200)));
+        }
+        assert_eq!(table.get(4, 499).unwrap(), None);
+        assert_eq!(table.get(6, MAX_SEQNO).unwrap().unwrap().0.seq, 500);
+    }
+
+    #[test]
+    fn get_versions_crosses_block_boundaries() {
+        let (_s, table) = multi_block_key_table();
+        for end in key5_block_ends(&table) {
+            for snapshot in [end, end - 1] {
+                let seqs: Vec<u64> = table
+                    .get_versions(5, snapshot)
+                    .unwrap()
+                    .iter()
+                    .map(|(ik, _)| ik.seq)
+                    .collect();
+                // Every partial down to (and including) the full row at seq 1.
+                assert_eq!(seqs, (1..=snapshot).rev().collect::<Vec<_>>());
+            }
+        }
+        let versions = table.get_versions(6, MAX_SEQNO).unwrap();
+        assert_eq!(versions.len(), 1);
+        assert!(table.get_versions(5, 0).unwrap().is_empty());
+        assert!(table.get_versions(7, MAX_SEQNO).unwrap().is_empty());
+    }
+
+    #[test]
+    fn malformed_index_handle_fails_open() {
+        let storage: StorageRef = MemStorage::new_ref();
+        let file = storage.create("t.sst").unwrap();
+        let mut builder = TableBuilder::new(file, TableOptions::default());
+        for i in 0..100u64 {
+            builder
+                .add(
+                    &InternalKey::new(i, 1, ValueKind::Full).encode(),
+                    &[0u8; 32],
+                )
+                .unwrap();
+        }
+        builder.finish().unwrap();
+        let original = storage.open("t.sst").unwrap().read_all().unwrap();
+        let footer = Footer::decode(&original[original.len() - FOOTER_SIZE..]).unwrap();
+        let index_start = footer.index_handle.offset as usize;
+        let index_end = index_start + footer.index_handle.size as usize;
+        let entries = Block::decode(original[index_start..index_end].to_vec())
+            .unwrap()
+            .entries()
+            .unwrap();
+        assert!(entries.len() > 1);
+        // Rewrites the index, cutting the last entry's handle to `handle_len`
+        // bytes, under a freshly computed (valid) checksum.
+        let rewrite = |handle_len: usize| {
+            let mut index = BlockBuilder::new();
+            for (i, (key, handle)) in entries.iter().enumerate() {
+                let len = if i + 1 == entries.len() {
+                    handle_len
+                } else {
+                    handle.len()
+                };
+                index.add(key, &handle[..len]).unwrap();
+            }
+            let contents = index.finish();
+            let mut file = original[..index_start].to_vec();
+            file.extend_from_slice(&contents);
+            put_u32(&mut file, crc32(&contents));
+            let footer = Footer {
+                index_handle: BlockHandle {
+                    offset: index_start as u64,
+                    size: contents.len() as u64,
+                },
+                ..footer.clone()
+            };
+            file.extend_from_slice(&footer.encode());
+            storage.create("t.sst").unwrap().append(&file).unwrap();
+            TableHandle::open(&storage, "t.sst")
+        };
+        // Rewritten intact, the table opens and its last block is readable.
+        let table = rewrite(16).unwrap();
+        assert_eq!(table.get(99, MAX_SEQNO).unwrap().unwrap().0.user_key, 99);
+        drop(table);
+        let err = rewrite(8).unwrap_err();
+        assert!(err.is_corruption(), "expected corruption, got {err:?}");
     }
 
     #[test]
